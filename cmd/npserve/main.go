@@ -47,6 +47,11 @@ import (
 	"nplus/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a
+// connection open indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:9070", "listen address")
 	queue := flag.Int("queue", 256, "bounded execution-queue depth; a full queue answers 429")
@@ -57,7 +62,7 @@ func main() {
 	flag.Parse()
 
 	s := serve.New(serve.Config{QueueDepth: *queue, Workers: *execWorkers, CacheCap: *cache})
-	srv := &http.Server{Addr: *addr, Handler: s.Handler(*pprofOn)}
+	srv := &http.Server{Addr: *addr, Handler: s.Handler(*pprofOn), ReadHeaderTimeout: readHeaderTimeout}
 
 	// Listen before announcing, so "listening" in the log means curl
 	// will connect.

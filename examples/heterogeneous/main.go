@@ -15,6 +15,8 @@ import (
 
 	"nplus/internal/core"
 	"nplus/internal/mac"
+	"nplus/internal/obs"
+	"nplus/internal/traffic"
 )
 
 func main() {
@@ -39,30 +41,40 @@ func main() {
 			net.Deployment.LinkSNRDB(f.Tx, f.Rx))
 	}
 
-	tput, trace, err := net.RunProtocol(mac.ModeNPlus, 0.02)
-	if err != nil {
-		log.Fatal(err)
+	const duration = 0.02
+	run := func(mode mac.Mode, events bool) *core.TrafficResult {
+		res, err := net.RunTraffic(core.TrafficRun{
+			Mode: mode, Duration: duration, Model: traffic.Saturated,
+			Obs: obs.Config{Events: events},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
+	total := func(res *core.TrafficResult) float64 {
+		sum := 0.0
+		for _, f := range net.Flows {
+			sum += res.PerFlow[f.ID].ThroughputMbps(duration)
+		}
+		return sum
+	}
+
+	res := run(mac.ModeNPlus, true)
 	fmt.Println("\nmedium-access trace (n+, first 20 ms):")
-	fmt.Print(trace.String())
+	for _, line := range obs.TraceLines(res.Events) {
+		fmt.Println(line)
+	}
 
 	fmt.Println("per-flow throughput:")
-	total := 0.0
 	for _, f := range net.Flows {
-		fmt.Printf("  flow %d: %6.2f Mb/s\n", f.ID, tput[f.ID])
-		total += tput[f.ID]
+		fmt.Printf("  flow %d: %6.2f Mb/s\n", f.ID, res.PerFlow[f.ID].ThroughputMbps(duration))
 	}
-	fmt.Printf("  total:  %6.2f Mb/s\n", total)
+	totalN := total(res)
+	fmt.Printf("  total:  %6.2f Mb/s\n", totalN)
 
 	// Compare against today's 802.11n on the same placement.
-	tputL, _, err := net.RunProtocol(mac.Mode80211n, 0.02)
-	if err != nil {
-		log.Fatal(err)
-	}
-	totalL := 0.0
-	for _, x := range tputL {
-		totalL += x
-	}
+	totalL := total(run(mac.Mode80211n, false))
 	fmt.Printf("\n802.11n on the same placement: %.2f Mb/s total → n+ gain %.2fx\n",
-		totalL, total/totalL)
+		totalL, totalN/totalL)
 }

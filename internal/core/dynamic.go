@@ -135,6 +135,12 @@ func (n *Network) runTrafficDynamic(r TrafficRun, spec traffic.Spec) (*TrafficRe
 			r.Churn.ArrivalPerS, r.Churn.MeanSessionS)
 	}
 
+	if n.layout.ClusterOf == nil {
+		// Single-cell generators record no cell map: every node sits in
+		// cell 0, and arrivals and moves write theirs here.
+		n.layout.ClusterOf = make(map[mac.NodeID]int)
+	}
+
 	d := &dynamicRun{
 		net: n, r: r, spec: spec,
 		layout:    n.layout,
@@ -174,28 +180,13 @@ func (n *Network) runTrafficDynamic(r TrafficRun, spec traffic.Spec) (*TrafficRe
 	// Single engine at the historical seeds; a fresh mutable hearing
 	// graph (the Network's cached one must stay static for other
 	// callers).
-	sc, err := n.Scenario(int64(r.Mode) + 29)
-	if err != nil {
-		return nil, err
-	}
-	d.eng = sim.NewEngine(n.seed + 31)
-	var tr *sim.Trace
-	if r.Trace {
-		tr = &sim.Trace{}
-		d.eng.SetTrace(tr)
-	}
-	proto, err := mac.NewProtocol(d.eng, sc, n.Flows, mac.DefaultEpochConfig(r.Mode))
-	if err != nil {
-		return nil, err
-	}
-	d.proto = proto
 	d.graph = n.Deployment.HearingGraph(n.opts.CSThresholdDB)
-	proto.SetHearing(d.graph)
-	if err := attachTraffic(proto, spec, r); err != nil {
+	pe, err := n.newProtocolEngine(r, spec, nil, d.graph)
+	if err != nil {
 		return nil, err
 	}
-	rec, met := attachObserve(proto, r.Obs, 0)
-	proto.SetOnDetach(d.onDetach)
+	d.eng, d.proto = pe.proto.Eng, pe.proto
+	d.proto.SetOnDetach(d.onDetach)
 
 	// Per-station mobility state for the initial clients.
 	if r.Mobility != nil {
@@ -235,30 +226,12 @@ func (n *Network) runTrafficDynamic(r TrafficRun, spec traffic.Spec) (*TrafficRe
 	}
 
 	d.stats.PeakStations = len(d.clients)
-	proto.Run(r.Duration)
+	d.proto.Run(r.Duration)
 	d.stats.FinalStations = len(d.clients)
 
-	res := &TrafficResult{
-		PerFlow:            proto.Stats(),
-		Components:         proto.Components(),
-		PeakConcurrentTxns: proto.PeakConcurrentTxns(),
-		PeakBusyComponents: proto.PeakBusyComponents(),
-		Trace:              tr,
-		Metrics:            met,
-		FlowDefs:           d.defs,
-		Churn:              &d.stats,
-	}
-	if rec != nil {
-		res.Events = rec.Events
-	}
-	flowCounts := proto.DomainFlowCounts()
-	for i, ds := range proto.DomainBreakdown() {
-		res.PerComponent = append(res.PerComponent, ComponentStats{
-			Flows: flowCounts[i], Wins: ds.Wins, Served: ds.Served,
-			DataTime: ds.DataTime, OverheadTime: ds.OverheadTime,
-		})
-	}
-	res.DataTime, res.OverheadTime = proto.MediumTime()
+	res := pe.result()
+	res.FlowDefs = d.defs
+	res.Churn = &d.stats
 	return res, nil
 }
 

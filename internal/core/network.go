@@ -234,8 +234,8 @@ func (n *Network) Scenario(salt int64) (*mac.Scenario, error) {
 }
 
 // scenarioWith is Scenario over an explicit channel provider and raw
-// RNG seed — the form sharded runs use to give each component its own
-// provider fork and derived RNG stream.
+// RNG seed — the form protocol engines use, so a shard can give its
+// component its own provider fork and derived RNG stream.
 func (n *Network) scenarioWith(provider mac.ChannelProvider, rngSeed int64) (*mac.Scenario, error) {
 	sel, err := esnr.NewSelector(nil)
 	if err != nil {
@@ -296,25 +296,6 @@ func (n *Network) flowEndpoints() []mac.NodeID {
 	return out
 }
 
-// RunProtocol runs the full event-driven CSMA/CA protocol for the
-// given virtual duration and returns per-flow throughput in Mb/s and
-// the protocol trace.
-func (n *Network) RunProtocol(mode mac.Mode, duration float64) (map[int]float64, *sim.Trace, error) {
-	sc, err := n.Scenario(int64(mode) + 29)
-	if err != nil {
-		return nil, nil, err
-	}
-	eng := sim.NewEngine(n.seed + 31)
-	tr := &sim.Trace{}
-	eng.SetTrace(tr)
-	proto, err := mac.NewProtocol(eng, sc, n.Flows, mac.DefaultEpochConfig(mode))
-	if err != nil {
-		return nil, nil, err
-	}
-	proto.SetHearing(n.HearingGraph())
-	return proto.Run(duration), tr, nil
-}
-
 // TrafficRun describes one open-loop protocol run: every flow gets an
 // arrival process from the named traffic model at the given mean rate
 // and a share of its station's bounded queue.
@@ -332,7 +313,6 @@ type TrafficRun struct {
 	// replaced.
 	OnFraction float64
 	CycleSec   float64
-	Trace      bool // attach a protocol trace
 	// Obs selects observability: the typed event stream, the metrics
 	// registry, and the probe cadence. The zero value observes nothing
 	// and the protocol's emit paths reduce to nil checks. Like every
@@ -399,8 +379,6 @@ type TrafficResult struct {
 	// PerComponent attributes wins, served packets, and busy time to
 	// each collision domain, in component order.
 	PerComponent []ComponentStats
-	// Trace is non-nil only when the run requested one.
-	Trace *sim.Trace
 	// Events is the typed event stream (Obs.Events), merged across
 	// components by (time, domain, sequence).
 	Events []obs.Event
@@ -416,9 +394,8 @@ type TrafficResult struct {
 }
 
 // RunTraffic runs the event-driven protocol under the given traffic
-// model and returns the structured result. The scenario salt matches
-// RunProtocol's, so a saturated TrafficRun reproduces the backlogged
-// run bit-for-bit.
+// model and returns the structured result. The saturated model keeps
+// every station backlogged.
 //
 // When the hearing graph splits the flow transmitters into several
 // components, each component runs the full protocol on its own event
@@ -440,7 +417,7 @@ func (n *Network) RunTraffic(r TrafficRun) (*TrafficResult, error) {
 	}
 	shards := n.componentFlows()
 	if len(shards) <= 1 {
-		return n.runTrafficSingle(r, spec)
+		return n.runStatic(r, spec, nil)
 	}
 	return n.runTrafficSharded(r, spec, shards)
 }
@@ -451,27 +428,6 @@ type flowShard struct {
 	comp  int // hearing-graph component index (the RNG stream id)
 	idx   int // dense shard index — the run's global domain label
 	flows []mac.Flow
-}
-
-// attachObserve installs the run's observability sinks on a protocol
-// instance and returns them for collection after the run. It always
-// runs — domainBase labels the engine's domains (and trace entries)
-// with the run-global component index even on trace-only runs; with
-// everything else nil/zero the protocol's emit paths stay nil checks.
-func attachObserve(proto *mac.Protocol, c obs.Config, domainBase int) (*obs.Recorder, *obs.Metrics) {
-	var rec *obs.Recorder
-	var met *obs.Metrics
-	if c.Events {
-		rec = &obs.Recorder{}
-	}
-	if c.Metrics {
-		met = obs.NewMetrics()
-	}
-	proto.SetObserve(mac.ObserveConfig{
-		Recorder: rec, Metrics: met,
-		ProbeIntervalS: c.ProbeIntervalS, DomainBase: domainBase,
-	})
-	return rec, met
 }
 
 // componentFlows groups the network's flows by the hearing-graph
@@ -497,11 +453,44 @@ func (n *Network) componentFlows() []flowShard {
 	return shards
 }
 
-// attachTraffic installs the run's arrival model on a protocol
-// instance, surfacing the first source-construction error.
-func attachTraffic(proto *mac.Protocol, spec traffic.Spec, r TrafficRun) error {
+// protocolEngine is one protocol instance on its own event engine,
+// with the observability sinks attached to it.
+type protocolEngine struct {
+	proto *mac.Protocol
+	rec   *obs.Recorder
+	met   *obs.Metrics
+}
+
+// newProtocolEngine builds the protocol engine every run path runs
+// on: scenario, event engine, flows, medium g, arrival model, and
+// observability sinks. A nil shard is the whole network at the
+// historical single-engine seeds every pinned golden run was recorded
+// under. A shard runs its component's flows on a private fork of the
+// channel provider (private caches over shared, immutable channel
+// realizations), with its domains labelled from the shard index and
+// every seed derived from (run seed, component id) via sim.DeriveSeed,
+// so its randomness is independent of its siblings and of which
+// worker runs it.
+func (n *Network) newProtocolEngine(r TrafficRun, spec traffic.Spec, sh *flowShard, g *mac.HearingGraph) (*protocolEngine, error) {
+	var provider mac.ChannelProvider = n.Deployment
+	flows, domainBase := n.Flows, 0
+	scSeed, engSeed := n.seed*7919+int64(r.Mode)+29, n.seed+31
+	if sh != nil {
+		provider, flows, domainBase = n.Deployment.Fork(), sh.flows, sh.idx
+		scSeed, engSeed = sim.DeriveSeed(scSeed, int64(sh.comp)), sim.DeriveSeed(engSeed, int64(sh.comp))
+	}
+	sc, err := n.scenarioWith(provider, scSeed)
+	if err != nil {
+		return nil, err
+	}
+	pe := &protocolEngine{}
+	pe.proto, err = mac.NewProtocol(sim.NewEngine(engSeed), sc, flows, mac.DefaultEpochConfig(r.Mode))
+	if err != nil {
+		return nil, err
+	}
+	pe.proto.SetHearing(g)
 	var srcErr error
-	proto.SetTraffic(func(f mac.Flow) traffic.Source {
+	pe.proto.SetTraffic(func(f mac.Flow) traffic.Source {
 		src, err := spec.New(traffic.Config{RatePPS: r.RatePPS, OnFraction: r.OnFraction, CycleSec: r.CycleSec})
 		if err != nil && srcErr == nil {
 			srcErr = err
@@ -509,116 +498,65 @@ func attachTraffic(proto *mac.Protocol, spec traffic.Spec, r TrafficRun) error {
 		return src
 	}, r.QueueCap)
 	if srcErr != nil {
-		return fmt.Errorf("core: traffic model %q: %w", r.Model, srcErr)
+		return nil, fmt.Errorf("core: traffic model %q: %w", r.Model, srcErr)
 	}
-	return nil
+	// Always installed: DomainBase labels the domains with the
+	// run-global component index; with the sinks nil and no probe
+	// cadence the protocol's emit paths stay nil checks.
+	if r.Obs.Events {
+		pe.rec = &obs.Recorder{}
+	}
+	if r.Obs.Metrics {
+		pe.met = obs.NewMetrics()
+	}
+	pe.proto.SetObserve(mac.ObserveConfig{
+		Recorder: pe.rec, Metrics: pe.met,
+		ProbeIntervalS: r.Obs.ProbeIntervalS, DomainBase: domainBase,
+	})
+	return pe, nil
 }
 
-// runTrafficSingle is the historical single-engine path: one event
-// queue over all flows, exact instantaneous concurrency gauges, and
-// the engine/scenario seeds every pinned golden run was recorded
-// under.
-func (n *Network) runTrafficSingle(r TrafficRun, spec traffic.Spec) (*TrafficResult, error) {
-	sc, err := n.Scenario(int64(r.Mode) + 29)
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine(n.seed + 31)
-	var tr *sim.Trace
-	if r.Trace {
-		tr = &sim.Trace{}
-		eng.SetTrace(tr)
-	}
-	proto, err := mac.NewProtocol(eng, sc, n.Flows, mac.DefaultEpochConfig(r.Mode))
-	if err != nil {
-		return nil, err
-	}
-	proto.SetHearing(n.HearingGraph())
-	if err := attachTraffic(proto, spec, r); err != nil {
-		return nil, err
-	}
-	rec, met := attachObserve(proto, r.Obs, 0)
-	proto.Run(r.Duration)
+// result collects a finished engine's outcome, attributing wins,
+// served packets, flows, and busy time to each of its collision
+// domains in domain order.
+func (pe *protocolEngine) result() *TrafficResult {
+	p := pe.proto
 	res := &TrafficResult{
-		PerFlow:            proto.Stats(),
-		Components:         proto.Components(),
-		PeakConcurrentTxns: proto.PeakConcurrentTxns(),
-		PeakBusyComponents: proto.PeakBusyComponents(),
-		Trace:              tr,
-		Metrics:            met,
+		PerFlow:            p.Stats(),
+		Components:         p.Components(),
+		PeakConcurrentTxns: p.PeakConcurrentTxns(),
+		PeakBusyComponents: p.PeakBusyComponents(),
+		Metrics:            pe.met,
 	}
-	if rec != nil {
-		res.Events = rec.Events
+	if pe.rec != nil {
+		res.Events = pe.rec.Events
 	}
-	for _, ds := range proto.DomainBreakdown() { // single path: ≤1 domain
+	flowCounts := p.DomainFlowCounts()
+	for i, ds := range p.DomainBreakdown() {
 		res.PerComponent = append(res.PerComponent, ComponentStats{
-			Flows: len(n.Flows), Wins: ds.Wins, Served: ds.Served,
+			Flows: flowCounts[i], Wins: ds.Wins, Served: ds.Served,
 			DataTime: ds.DataTime, OverheadTime: ds.OverheadTime,
 		})
 	}
-	res.DataTime, res.OverheadTime = proto.MediumTime()
+	res.DataTime, res.OverheadTime = p.MediumTime()
+	return res
+}
+
+// runStatic runs one static protocol engine over the network's cached
+// hearing graph: the whole network on one event queue with exact
+// instantaneous concurrency gauges (nil shard), or one hearing-graph
+// component as a self-contained run.
+func (n *Network) runStatic(r TrafficRun, spec traffic.Spec, sh *flowShard) (*TrafficResult, error) {
+	pe, err := n.newProtocolEngine(r, spec, sh, n.HearingGraph())
+	if err != nil {
+		return nil, err
+	}
+	pe.proto.Run(r.Duration)
+	res := pe.result()
+	if sh != nil && res.Components != 1 {
+		return nil, fmt.Errorf("core: component %d sharded into %d domains (hearing graph inconsistent)", sh.comp, res.Components)
+	}
 	return res, nil
-}
-
-// shardOutcome is one component's completed run, pending the
-// deterministic merge.
-type shardOutcome struct {
-	perFlow  map[int]*mac.FlowStats
-	domain   mac.DomainStats
-	data     float64
-	overhead float64
-	peak     int
-	busy     int
-	trace    *sim.Trace
-	events   []obs.Event
-	metrics  *obs.Metrics
-}
-
-// runShard executes one hearing-graph component as a self-contained
-// protocol run. Every seed below derives from (run seed, component
-// id) via sim.DeriveSeed — the same splitmix64 scheme internal/exp
-// uses for per-trial sweep seeds — so the component's randomness is
-// independent of its siblings and of which worker ran it. The
-// provider fork gives the shard private channel-response caches; the
-// underlying channel realizations are shared and immutable.
-func (n *Network) runShard(r TrafficRun, spec traffic.Spec, sh flowShard) (shardOutcome, error) {
-	stream := int64(sh.comp)
-	sc, err := n.scenarioWith(n.Deployment.Fork(), sim.DeriveSeed(n.seed*7919+int64(r.Mode)+29, stream))
-	if err != nil {
-		return shardOutcome{}, err
-	}
-	eng := sim.NewEngine(sim.DeriveSeed(n.seed+31, stream))
-	var tr *sim.Trace
-	if r.Trace {
-		tr = &sim.Trace{}
-		eng.SetTrace(tr)
-	}
-	proto, err := mac.NewProtocol(eng, sc, sh.flows, mac.DefaultEpochConfig(r.Mode))
-	if err != nil {
-		return shardOutcome{}, err
-	}
-	proto.SetHearing(n.HearingGraph())
-	if err := attachTraffic(proto, spec, r); err != nil {
-		return shardOutcome{}, err
-	}
-	rec, met := attachObserve(proto, r.Obs, sh.idx)
-	proto.Run(r.Duration)
-	if c := proto.Components(); c != 1 {
-		return shardOutcome{}, fmt.Errorf("core: component %d sharded into %d domains (hearing graph inconsistent)", sh.comp, c)
-	}
-	out := shardOutcome{
-		perFlow: proto.Stats(),
-		domain:  proto.DomainBreakdown()[0],
-		peak:    proto.PeakConcurrentTxns(),
-		busy:    proto.PeakBusyComponents(),
-		trace:   tr,
-		metrics: met,
-	}
-	if rec != nil {
-		out.events = rec.Events
-	}
-	out.data, out.overhead = proto.MediumTime()
-	return out, nil
 }
 
 // runTrafficSharded fans the components over a bounded worker pool
@@ -634,7 +572,7 @@ func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []fl
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	outs := make([]shardOutcome, len(shards))
+	outs := make([]*TrafficResult, len(shards))
 	errs := make([]error, len(shards))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -647,7 +585,7 @@ func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []fl
 				if i >= len(shards) {
 					return
 				}
-				outs[i], errs[i] = n.runShard(r, spec, shards[i])
+				outs[i], errs[i] = n.runStatic(r, spec, &shards[i])
 			}
 		}()
 	}
@@ -659,64 +597,26 @@ func (n *Network) runTrafficSharded(r TrafficRun, spec traffic.Spec, shards []fl
 	}
 
 	res := &TrafficResult{PerFlow: make(map[int]*mac.FlowStats)}
-	var trace *sim.Trace
-	if r.Trace {
-		trace = &sim.Trace{}
-	}
 	if r.Obs.Metrics {
 		res.Metrics = obs.NewMetrics()
 	}
-	for i := range outs {
-		out := &outs[i]
-		for id, fs := range out.perFlow {
+	for _, out := range outs {
+		for id, fs := range out.PerFlow {
 			res.PerFlow[id] = fs // flow ids are unique across components
 		}
-		res.DataTime += out.data
-		res.OverheadTime += out.overhead
-		res.Components++
-		res.PeakConcurrentTxns += out.peak
-		res.PeakBusyComponents += out.busy
-		res.PerComponent = append(res.PerComponent, ComponentStats{
-			Flows: len(shards[i].flows), Wins: out.domain.Wins, Served: out.domain.Served,
-			DataTime: out.domain.DataTime, OverheadTime: out.domain.OverheadTime,
-		})
-		if trace != nil && out.trace != nil {
-			trace.Entries = append(trace.Entries, out.trace.Entries...)
-		}
-		res.Events = append(res.Events, out.events...)
+		res.DataTime += out.DataTime
+		res.OverheadTime += out.OverheadTime
+		res.Components += out.Components
+		res.PeakConcurrentTxns += out.PeakConcurrentTxns
+		res.PeakBusyComponents += out.PeakBusyComponents
+		res.PerComponent = append(res.PerComponent, out.PerComponent...)
+		res.Events = append(res.Events, out.Events...)
 		if res.Metrics != nil {
-			res.Metrics.Merge(out.metrics) // ascending component order
+			res.Metrics.Merge(out.Metrics) // ascending component order
 		}
 	}
 	obs.SortEvents(res.Events)
-	if trace != nil {
-		// Interleave the per-component traces on the shared virtual
-		// clock. Time ties break by (component, per-engine sequence) —
-		// a pinned total order, so the merged trace is byte-identical
-		// at any worker count instead of merely time-sorted.
-		sort.Slice(trace.Entries, func(i, j int) bool {
-			a, b := trace.Entries[i], trace.Entries[j]
-			if a.At != b.At {
-				return a.At < b.At
-			}
-			if a.Comp != b.Comp {
-				return a.Comp < b.Comp
-			}
-			return a.Seq < b.Seq
-		})
-		res.Trace = trace
-	}
 	return res, nil
-}
-
-// RunTrafficProtocol is the historical map-returning form of
-// RunTraffic, kept for callers that only need per-flow statistics.
-func (n *Network) RunTrafficProtocol(r TrafficRun) (map[int]*mac.FlowStats, *sim.Trace, error) {
-	res, err := n.RunTraffic(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.PerFlow, res.Trace, nil
 }
 
 // MinLinkSNRDB returns the weakest flow SNR in the deployment —

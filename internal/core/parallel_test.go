@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nplus/internal/mac"
@@ -90,27 +91,35 @@ func TestShardedRunWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedTraceMergesInTimeOrder checks the merged trace of a
-// parallel run: entries from all components interleave in
-// non-decreasing virtual-time order, exactly as a single global
-// observer would have logged them.
+// TestShardedTraceMergesInTimeOrder checks the merged event stream a
+// parallel run's trace is rendered from: events from all components
+// interleave in non-decreasing virtual-time order, exactly as a single
+// global observer would have logged them.
 func TestShardedTraceMergesInTimeOrder(t *testing.T) {
 	net := campusNet(t, 13)
 	res, err := net.RunTraffic(TrafficRun{
 		Mode: mac.ModeNPlus, Duration: 0.005, Model: "poisson", RatePPS: 1500,
-		Trace: true, Workers: 4,
+		Workers: 4, Obs: obs.Config{Events: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || len(res.Trace.Entries) == 0 {
-		t.Fatal("sharded traced run produced no trace entries")
+	evs := res.Events
+	if len(evs) == 0 {
+		t.Fatal("sharded traced run produced no events")
 	}
-	for i := 1; i < len(res.Trace.Entries); i++ {
-		if res.Trace.Entries[i].At < res.Trace.Entries[i-1].At {
-			t.Fatalf("trace entry %d at %g precedes entry %d at %g",
-				i, res.Trace.Entries[i].At, i-1, res.Trace.Entries[i-1].At)
+	domains := map[int]bool{}
+	for i, ev := range evs {
+		domains[ev.Domain] = true
+		if i > 0 && ev.At < evs[i-1].At {
+			t.Fatalf("event %d at %g precedes event %d at %g", i, ev.At, i-1, evs[i-1].At)
 		}
+	}
+	if len(domains) < 2 {
+		t.Fatalf("trace spans %d collision domains, want ≥ 2 for a real merge", len(domains))
+	}
+	if lines := obs.TraceLines(evs); len(lines) != len(evs) {
+		t.Fatalf("rendered trace has %d lines for %d events", len(lines), len(evs))
 	}
 }
 
@@ -131,8 +140,8 @@ func TestObservedRunWorkerInvariance(t *testing.T) {
 	run := func(workers int) snap {
 		res, err := net.RunTraffic(TrafficRun{
 			Mode: mac.ModeNPlus, Duration: 0.005, Model: "poisson", RatePPS: 1500,
-			Trace: true, Workers: workers,
-			Obs: obs.Config{Events: true, Metrics: true, ProbeIntervalS: 0.001},
+			Workers: workers,
+			Obs:     obs.Config{Events: true, Metrics: true, ProbeIntervalS: 0.001},
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -148,7 +157,7 @@ func TestObservedRunWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return snap{events: buf.Bytes(), trace: res.Trace.String(), metrics: string(ms)}
+		return snap{events: buf.Bytes(), trace: strings.Join(obs.TraceLines(res.Events), "\n"), metrics: string(ms)}
 	}
 	base := run(1)
 	seen := map[int]bool{}

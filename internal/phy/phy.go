@@ -10,10 +10,10 @@
 // footnote 1 of the paper), projects out unwanted streams, and
 // reverses the bit chain.
 //
-// The MAC-level experiments (Figs. 12/13) use the faster link
-// abstraction of package mac; this package exists for the
-// signal-level experiments (Figs. 9/11) and for integration tests
-// that validate the abstraction.
+// No simulator path runs this chain: every experiment, the figures
+// included, uses the faster link abstraction of package mac. This
+// package is the signal-level oracle that abstraction is checked
+// against (TestLinkAbstractionMatchesSignalLevel).
 package phy
 
 import (

@@ -155,3 +155,26 @@ func TestDynamicSpecRoundTrip(t *testing.T) {
 		t.Fatal("empty rendered report")
 	}
 }
+
+// TestDynamicRunsOnSingleCellLayouts is the regression for churn and
+// mobility on unclustered layouts: the disk generators record no cell
+// map, and the first arrival or move used to panic writing to it.
+func TestDynamicRunsOnSingleCellLayouts(t *testing.T) {
+	cases := map[string]Spec{
+		"churn": {Topo: "disk-uplink", Nodes: 10, Traffic: "poisson", DurationS: 0.2,
+			Churn: &ChurnSpec{ArrivalPerS: 100, MeanSessionS: 0.05}},
+		"waypoint mobility": {Topo: "disk-uplink", Nodes: 10, Traffic: "poisson", DurationS: 0.2,
+			Mobility: &MobilitySpec{Model: "waypoint", SpeedMPS: 5, IntervalS: 0.02}},
+	}
+	for name, s := range cases {
+		t.Run(name, func(t *testing.T) {
+			rep, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Churn != nil && rep.Churn.Arrivals == 0 {
+				t.Fatal("no arrivals: the churn path never ran")
+			}
+		})
+	}
+}

@@ -288,7 +288,45 @@ func TestShortRunAirtimeBounded(t *testing.T) {
 // Tracing is a protocol-engine feature; an explicitly requested epoch
 // engine is a contradiction to reject, not silently override.
 func TestTraceRejectsEpochEngine(t *testing.T) {
-	if _, _, err := RunTraced(Spec{Scenario: "trio", Engine: EngineEpoch}, true); err == nil {
+	if _, err := RunTraced(Spec{Scenario: "trio", Engine: EngineEpoch}, true); err == nil {
 		t.Fatal("trace + epoch engine ran without error")
+	}
+}
+
+// TestTracingDoesNotPerturbTheRun pins that a trace only observes: a
+// traced Report with its trace and events cleared is byte-identical
+// to the untraced Report, on the single-engine (uplink200), sharded
+// (observe), and dynamic (churn) paths.
+func TestTracingDoesNotPerturbTheRun(t *testing.T) {
+	for _, name := range []string{"uplink200", "observe", "churn"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := LoadSpec(filepath.Join("..", "..", "examples", "specs", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			traced, err := RunTraced(s, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(traced.Trace) == 0 || len(traced.Trace) != len(traced.Events) {
+				t.Fatalf("traced run carries %d trace lines for %d events", len(traced.Trace), len(traced.Events))
+			}
+			traced.Trace, traced.Events = nil, nil
+			want, err := plain.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := traced.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("tracing changed the Report")
+			}
+		})
 	}
 }
