@@ -56,6 +56,20 @@ func TestNormalizeAutoEngine(t *testing.T) {
 	if n.Engine != EngineProtocol || n.RatePPS != DefaultRatePPS || n.QueueCap != DefaultQueueCap {
 		t.Fatalf("open-loop run: engine=%q rate=%g queue=%d", n.Engine, n.RatePPS, n.QueueCap)
 	}
+	// An observe block only exists on the event-driven path, so it
+	// selects the protocol engine even for a saturated scenario.
+	observe := &ObserveSpec{Metrics: []string{"all"}}
+	n, err = Spec{Scenario: "trio", Observe: observe}.Normalized()
+	if err != nil {
+		t.Fatalf("observed scenario: %v", err)
+	}
+	if n.Engine != EngineProtocol || n.DurationS != DefaultDuration {
+		t.Fatalf("observed scenario: engine=%q duration=%g", n.Engine, n.DurationS)
+	}
+	// A pinned epoch engine is a contradiction, never overridden.
+	if _, err := (Spec{Scenario: "trio", Engine: EngineEpoch, Observe: observe}).Normalized(); err == nil {
+		t.Fatal("observe block on a pinned epoch engine normalized without error")
+	}
 }
 
 // Every knob the resolved engine or traffic model cannot consume is

@@ -375,12 +375,14 @@ func (s Spec) Normalized() (Spec, error) {
 		return s, fmt.Errorf("runspec: %w", err)
 	}
 
-	// Engine resolution: generated topologies and open-loop traffic
-	// need the event-driven protocol; hand-built saturated scenarios
-	// default to the paper's epoch methodology.
+	// Engine resolution: generated topologies, open-loop traffic and
+	// an observe block need the event-driven protocol; hand-built
+	// saturated scenarios default to the paper's epoch methodology. An
+	// explicit epoch engine with an observe block is rejected below,
+	// never silently overridden.
 	switch s.Engine {
 	case "":
-		if s.Topo != "" || openLoop {
+		if s.Topo != "" || openLoop || !s.Observe.zero() {
 			s.Engine = EngineProtocol
 		} else {
 			s.Engine = EngineEpoch

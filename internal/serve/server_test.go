@@ -599,3 +599,33 @@ func TestServedReportMatchesLocalRun(t *testing.T) {
 		t.Errorf("healthz: %d %q", hresp.StatusCode, hbody)
 	}
 }
+
+// TestServedObserveSpecMatchesLocalRun pins that the server accepts
+// every spec the CLIs run: an observe block on a hand-built scenario
+// resolves to the protocol engine in normalization itself, so /run
+// answers 200 with exactly the bytes runspec.Run produces.
+func TestServedObserveSpecMatchesLocalRun(t *testing.T) {
+	s := New(Config{}) // real runspec.Run
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+
+	spec := runspec.Spec{Scenario: "trio", Observe: &runspec.ObserveSpec{Metrics: []string{"all"}}}
+	rep, err := runspec.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local = append(local, '\n')
+
+	resp, served := postSpec(t, ts.URL+"/run", spec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, served)
+	}
+	if !bytes.Equal(served, local) {
+		t.Fatalf("served report differs from local run:\n%s\nvs\n%s", served, local)
+	}
+}
