@@ -125,28 +125,39 @@ func FromTaps(taps [][][]complex128) *MIMO {
 // fftSize-point OFDM system: H[n][m] = Σ_t taps·e^{-2πi·bin·t/fft}.
 func (c *MIMO) FreqResponse(bin, fftSize int) *cmplxmat.Matrix {
 	h := cmplxmat.New(c.N, c.M)
-	c.FreqResponseInto(h, bin, fftSize)
+	c.FreqResponsesInto([]*cmplxmat.Matrix{h}, []int{bin}, fftSize, false)
 	return h
 }
 
-// FreqResponseInto computes FreqResponse into a caller-provided N×M
-// matrix, letting deployments batch-allocate their per-bin channel
-// caches.
-func (c *MIMO) FreqResponseInto(h *cmplxmat.Matrix, bin, fftSize int) {
+// FreqResponsesInto computes the response on each of bins into the
+// matching caller-provided matrix, letting deployments batch-allocate
+// their per-bin channel caches; one twiddle buffer serves the whole
+// batch. With reverse set, out[k] is M×N and holds the reciprocal
+// channel's response (§2: the reverse channel is the transpose of the
+// forward one) — the same sums in the same order, so it is bit-
+// identical to Reverse(nil).FreqResponse without copying the taps.
+func (c *MIMO) FreqResponsesInto(out []*cmplxmat.Matrix, bins []int, fftSize int, reverse bool) {
 	// Twiddle factors e^{-2πi·bin·t/fft} depend only on the tap
-	// index: compute them once instead of per antenna pair.
+	// index: compute them once per bin instead of per antenna pair.
 	twiddle := make([]complex128, c.MaxDelay()+1)
-	for t := range twiddle {
-		angle := -2 * math.Pi * float64(bin) * float64(t) / float64(fftSize)
-		twiddle[t] = complex(math.Cos(angle), math.Sin(angle))
-	}
-	for n := 0; n < c.N; n++ {
-		for m := 0; m < c.M; m++ {
-			var acc complex128
-			for t, g := range c.taps[n][m] {
-				acc += g * twiddle[t]
+	for k, bin := range bins {
+		for t := range twiddle {
+			angle := -2 * math.Pi * float64(bin) * float64(t) / float64(fftSize)
+			twiddle[t] = complex(math.Cos(angle), math.Sin(angle))
+		}
+		h := out[k]
+		for n := 0; n < c.N; n++ {
+			for m := 0; m < c.M; m++ {
+				var acc complex128
+				for t, g := range c.taps[n][m] {
+					acc += g * twiddle[t]
+				}
+				if reverse {
+					h.SetAt(m, n, acc)
+				} else {
+					h.SetAt(n, m, acc)
+				}
 			}
-			h.SetAt(n, m, acc)
 		}
 	}
 }

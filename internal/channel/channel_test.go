@@ -130,6 +130,27 @@ func TestReverseReciprocity(t *testing.T) {
 	}
 }
 
+// The reverse batch is the same sums in the same order as the copied
+// reciprocal channel, so it must match bit for bit, not approximately.
+func TestFreqResponsesIntoReverseIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ch := NewRayleigh(rng, 3, 2, DefaultProfile, 1)
+	rev := ch.Reverse(nil)
+	bins := []int{1, 7, 33, 60}
+	out := cmplxmat.NewBatch(len(bins), 2, 3)
+	ch.FreqResponsesInto(out, bins, 64, true)
+	for k, bin := range bins {
+		want := rev.FreqResponse(bin, 64)
+		for i := 0; i < 2; i++ {
+			for j := 0; j < 3; j++ {
+				if out[k].At(i, j) != want.At(i, j) {
+					t.Fatalf("bin %d (%d,%d): %v, reversed channel gives %v", bin, i, j, out[k].At(i, j), want.At(i, j))
+				}
+			}
+		}
+	}
+}
+
 func TestReverseWithCalibrationError(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ch := NewRayleigh(rng, 2, 2, FlatProfile, 1)

@@ -3,9 +3,12 @@ package runspec
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -251,6 +254,45 @@ func TestExampleSpecsAreValid(t *testing.T) {
 		if len(specs) == 0 {
 			t.Errorf("%s: expanded to zero runs", filepath.Base(path))
 		}
+	}
+}
+
+// The example Reports are the byte contract: `npsim -spec f -json`
+// prints rep.JSON() plus a newline, and its SHA-256 is pinned here so
+// any change to the bytes fails tier 1, not only a manual diff.
+func TestExampleReportDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digests pinned on amd64; the compiler may fuse multiply-adds on %s, which changes the floats", runtime.GOARCH)
+	}
+	for name, want := range map[string]string{
+		"campus":    "d25bc072c861b615c93bf1a40dfc39c08d5c650ff81003e4118745b93d2e7b0a",
+		"uplink200": "7def5b72ef3e396c6cb2a9c62297a1a5ad2a8709cef5cecc8aa3bdb6a61187ac",
+		"churn":     "8047d0ba2b5ab9d5cffb0a4a0506692851f4f6144be7a28a9a857d1b0d9e0147",
+		"trio":      "9e7c67bbd0ebd9367ef0342c68c38ec722b0f077ff065fd0722095b9978c08c8",
+		"observe":   "9f64a9a23e11e6e93e49d39ef839ebf73280393d8c3c0bad7df93078bd550074",
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := LoadSpec(filepath.Join("..", "..", "examples", "specs", name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm, err := spec.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Run(norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := rep.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(append(data, '\n'))
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("sha256 %s, want %s", got, want)
+			}
+		})
 	}
 }
 

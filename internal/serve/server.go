@@ -24,6 +24,7 @@ import (
 	"container/list"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -282,15 +283,7 @@ func (s *Server) worker() {
 		s.gaugeMax(MetricPeakInFlight, float64(cur))
 		//npvet:allow wallclock(wall-time histogram measures the host serving a run, not the simulation; results never read it)
 		start := time.Now()
-		rep, err := s.run(j.spec)
-		var data []byte
-		if err == nil {
-			if data, err = rep.JSON(); err == nil {
-				// The exact bytes `npsim -spec … -json > file` produces:
-				// the indented report plus the trailing newline.
-				data = append(data, '\n')
-			}
-		}
+		data, err := s.execute(j)
 		wallMs := float64(time.Since(start)) / float64(time.Millisecond) //npvet:allow wallclock(host wall time feeding the run_wall_ms histogram only)
 		s.inflight.Add(-1)
 
@@ -314,6 +307,27 @@ func (s *Server) worker() {
 		s.count(MetricRunsExecuted, 1)
 		s.observe(MetricRunWallMs, wallMs)
 	}
+}
+
+// execute runs one job and encodes its Report: the exact bytes
+// `npsim -spec … -json > file` produces, the indented report plus the
+// trailing newline. A panicking run becomes an error naming the
+// canonical hash, so one bad spec fails its own requests instead of
+// killing the daemon and every queued client.
+func (s *Server) execute(j job) (data []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			data, err = nil, fmt.Errorf("serve: run %s panicked: %v", j.e.hash, r)
+		}
+	}()
+	rep, err := s.run(j.spec)
+	if err != nil {
+		return nil, err
+	}
+	if data, err = rep.JSON(); err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }
 
 // count / observe / gaugeMax guard the obs registry, which is not

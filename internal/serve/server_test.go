@@ -506,6 +506,51 @@ func TestLRUBoundEvicts(t *testing.T) {
 	}
 }
 
+// TestPanickingRunRecovers pins the daemon's survival contract: a run
+// that panics answers its request with a 500 naming the canonical
+// hash, is not memoized (an identical request runs again), leaves the
+// in-flight gauge at zero, and the server keeps answering.
+func TestPanickingRunRecovers(t *testing.T) {
+	counter := newExecCounter()
+	s := New(Config{Workers: 1, Run: func(n runspec.Spec) (*runspec.Report, error) {
+		hash, err := n.CanonicalHash()
+		if err != nil {
+			return nil, err
+		}
+		counter.inc(hash)
+		panic("injected")
+	}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler(false))
+	defer ts.Close()
+
+	hash, _ := trioSpec(1).CanonicalHash()
+	for try := 1; try <= 2; try++ {
+		resp, body := postSpec(t, ts.URL+"/run", trioSpec(1))
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("try %d: status %d, want 500: %s", try, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), hash) || !strings.Contains(string(body), "injected") {
+			t.Errorf("try %d: error %q does not name the hash and the panic", try, body)
+		}
+		if got := counter.get(hash); got != try {
+			t.Errorf("try %d: executed %d times, want %d (failures are not memoized)", try, got, try)
+		}
+	}
+	if v := metricValue(t, ts.URL, MetricInFlightRuns); v != 0 {
+		t.Errorf("inflight_runs = %v after the panics, want 0", v)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after panics: status %d", resp.StatusCode)
+	}
+}
+
 // TestBadSpecRejected pins validation at the edge: malformed JSON,
 // unknown fields, registry violations, and server-side output paths
 // are all 400s, and none of them reach the execution queue.

@@ -20,13 +20,27 @@ import (
 // in live-peer ascending-id order, so a given membership/mobility
 // schedule replays bit-identically from an equal-seeded stream.
 
+// peer is a node resolved for the pair loops: its spec, matrix slot,
+// and position, looked up once per node rather than once per pair.
+type peer struct {
+	NodeSpec
+	slot int
+	pos  Point
+}
+
+// peerOf resolves a deployed node's slot and position.
+func (d *Deployment) peerOf(n NodeSpec) peer {
+	return peer{NodeSpec: n, slot: d.idx[n.ID], pos: d.Position[n.ID]}
+}
+
 // drawPair derives the a→b link budget (path loss, shadowing, extra
 // link loss) from rng, records it in both matrix directions, and — if
-// it clears the sparse floor — draws the pair's Rayleigh channel. Any
-// stale channel state for the pair must already be gone.
-func (d *Deployment) drawPair(rng *rand.Rand, a, b NodeSpec) {
+// it clears the sparse floor — draws the pair's Rayleigh channel into
+// the a→b cell. Any stale channel state for the pair must already be
+// gone.
+func (d *Deployment) drawPair(rng *rand.Rand, a, b peer) {
 	tb := d.tb
-	dist := d.Position[a.ID].Distance(d.Position[b.ID])
+	dist := a.pos.Distance(b.pos)
 	gain := channel.PathLoss(rng, dist, tb.Cfg.PathLossExp, channel.FromDB(tb.Cfg.RefGainDB), tb.Cfg.ShadowDB)
 	if d.lm.ExtraLossDB != nil {
 		if loss := d.lm.ExtraLossDB(a.ID, b.ID); loss != 0 {
@@ -34,32 +48,32 @@ func (d *Deployment) drawPair(rng *rand.Rand, a, b NodeSpec) {
 		}
 	}
 	gdb := clampDB(channel.DB(gain))
-	d.gainDB[d.idx[a.ID]*d.stride+d.idx[b.ID]] = float32(gdb)
-	d.gainDB[d.idx[b.ID]*d.stride+d.idx[a.ID]] = float32(gdb)
+	d.gainDB[a.slot*d.stride+b.slot] = float32(gdb)
+	d.gainDB[b.slot*d.stride+a.slot] = float32(gdb)
 	if d.lm.SparseSNRDB != 0 && tb.Cfg.TxPowerDB+gdb < d.lm.SparseSNRDB {
 		return // below the materialization floor: gain only
 	}
-	fwd := channel.NewRayleigh(rng, b.Antennas, a.Antennas, tb.Cfg.Profile, gain)
-	d.chans[[2]mac.NodeID{a.ID, b.ID}] = fwd
-	d.chans[[2]mac.NodeID{b.ID, a.ID}] = fwd.Reverse(nil)
+	d.chans[a.slot*d.stride+b.slot] = channel.NewRayleigh(rng, b.Antennas, a.Antennas, tb.Cfg.Profile, gain)
 }
 
-// dropPairState deletes both directions of a pair's realized channel
-// and cached frequency responses.
-func (d *Deployment) dropPairState(a, b mac.NodeID) {
-	delete(d.chans, [2]mac.NodeID{a, b})
-	delete(d.chans, [2]mac.NodeID{b, a})
-	delete(d.freq, [2]mac.NodeID{a, b})
-	delete(d.freq, [2]mac.NodeID{b, a})
+// dropPairState clears both channel cells of a pair and deletes its
+// cached frequency responses in both directions. Every mutator calls
+// it before redrawing a pair or freeing a slot, so a recycled slot
+// never serves a channel drawn for its previous occupant.
+func (d *Deployment) dropPairState(a, b peer) {
+	d.chans[a.slot*d.stride+b.slot] = nil
+	d.chans[b.slot*d.stride+a.slot] = nil
+	delete(d.freq, [2]mac.NodeID{a.ID, b.ID})
+	delete(d.freq, [2]mac.NodeID{b.ID, a.ID})
 }
 
-// livePeers returns the live node specs other than id, ascending by
-// id — the fixed order every mutator draws against.
-func (d *Deployment) livePeers(id mac.NodeID) []NodeSpec {
-	out := make([]NodeSpec, 0, len(d.idx))
+// livePeers returns the live nodes other than id, ascending by id —
+// the fixed order every mutator draws against.
+func (d *Deployment) livePeers(id mac.NodeID) []peer {
+	out := make([]peer, 0, len(d.idx))
 	for _, other := range d.LiveIDs() {
 		if other != id {
-			out = append(out, d.Nodes[other])
+			out = append(out, d.peerOf(d.Nodes[other]))
 		}
 	}
 	return out
@@ -95,24 +109,28 @@ func (d *Deployment) AddNodeAt(rng *rand.Rand, spec NodeSpec, pos Point) error {
 	d.idx[spec.ID] = s
 	d.Nodes[spec.ID] = spec
 	d.Position[spec.ID] = pos
+	me := d.peerOf(spec)
 	for _, b := range d.livePeers(spec.ID) {
-		d.drawPair(rng, spec, b)
+		d.drawPair(rng, me, b)
 	}
 	return nil
 }
 
-// growMatrix widens the gain matrix to at least want slots (doubling),
-// recopying each live row onto the new stride.
+// growMatrix widens the gain matrix and the channel table to at least
+// want slots (doubling), recopying each row onto the new stride.
 func (d *Deployment) growMatrix(want int) {
 	ns := d.stride * 2
 	if ns < want {
 		ns = want
 	}
 	g := make([]float32, ns*ns)
+	ch := make([]*channel.MIMO, ns*ns)
 	for i := 0; i < d.stride; i++ {
 		copy(g[i*ns:i*ns+d.stride], d.gainDB[i*d.stride:(i+1)*d.stride])
+		copy(ch[i*ns:i*ns+d.stride], d.chans[i*d.stride:(i+1)*d.stride])
 	}
 	d.gainDB = g
+	d.chans = ch
 	d.stride = ns
 }
 
@@ -125,9 +143,10 @@ func (d *Deployment) MoveNode(rng *rand.Rand, id mac.NodeID, pos Point) error {
 		return fmt.Errorf("testbed: MoveNode: unknown node %d", id)
 	}
 	d.Position[id] = pos
+	me := d.peerOf(spec)
 	for _, b := range d.livePeers(id) {
-		d.dropPairState(id, b.ID)
-		d.drawPair(rng, spec, b)
+		d.dropPairState(me, b)
+		d.drawPair(rng, me, b)
 	}
 	return nil
 }
@@ -141,8 +160,9 @@ func (d *Deployment) RemoveNode(id mac.NodeID) error {
 	if !ok {
 		return fmt.Errorf("testbed: RemoveNode: unknown node %d", id)
 	}
+	me := d.peerOf(d.Nodes[id])
 	for _, b := range d.livePeers(id) {
-		d.dropPairState(id, b.ID)
+		d.dropPairState(me, b)
 	}
 	delete(d.idx, id)
 	delete(d.Nodes, id)

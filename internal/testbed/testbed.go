@@ -156,11 +156,16 @@ type Deployment struct {
 	tb       *Testbed
 	Nodes    map[mac.NodeID]NodeSpec
 	Position map[mac.NodeID]Point
-	calib    *channel.Calibration
 	lm       LinkModel
-	// raw channel objects per ordered pair
-	chans map[[2]mac.NodeID]*channel.MIMO
-	// cached per-data-bin frequency responses
+	// chans[i*stride+j] is the Rayleigh realization drawn for the pair
+	// whose forward direction is ids[i] → ids[j]. Only that cell is
+	// set: reciprocity makes the j → i channel its transpose, which
+	// Channel derives on demand. Sparse-skipped pairs leave both cells
+	// nil.
+	chans []*channel.MIMO
+	// freq caches per-data-bin frequency responses per ordered pair.
+	// It stays a map: each Fork carries a private cache, and a dense
+	// table per fork would cost a pointer per slot pair.
 	freq map[[2]mac.NodeID][]*cmplxmat.Matrix
 	// ids is the slot table of the dense gain matrix: ids[s] is the
 	// node occupying slot s (stale for freed slots — liveness is
@@ -201,7 +206,7 @@ func (tb *Testbed) newDeployment(rng *rand.Rand, nodes []NodeSpec, lm LinkModel)
 			maxAnt = n.Antennas
 		}
 	}
-	// Pre-size the pairwise maps: n·(n−1) ordered pairs would force
+	// Pre-size the response cache: n·(n−1) ordered pairs would force
 	// repeated rehashing on large deployments. Sparse deployments skip
 	// the quadratic bulk, so they start small and grow as needed.
 	pairs := len(nodes) * (len(nodes) - 1)
@@ -217,13 +222,15 @@ func (tb *Testbed) newDeployment(rng *rand.Rand, nodes []NodeSpec, lm LinkModel)
 	for i, id := range ids {
 		idx[id] = i
 	}
+	// The calibration state itself is never read, but drawing it is the
+	// first RNG use, and every seeded output depends on that order.
+	channel.NewCalibration(rng, maxAnt, tb.Cfg.EstFloor)
 	return &Deployment{
 		tb:       tb,
 		Nodes:    make(map[mac.NodeID]NodeSpec, len(nodes)),
 		Position: make(map[mac.NodeID]Point, len(nodes)),
-		calib:    channel.NewCalibration(rng, maxAnt, tb.Cfg.EstFloor),
 		lm:       lm,
-		chans:    make(map[[2]mac.NodeID]*channel.MIMO, pairs),
+		chans:    make([]*channel.MIMO, len(ids)*len(ids)),
 		freq:     make(map[[2]mac.NodeID][]*cmplxmat.Matrix, pairs),
 		ids:      ids,
 		idx:      idx,
@@ -233,7 +240,7 @@ func (tb *Testbed) newDeployment(rng *rand.Rand, nodes []NodeSpec, lm LinkModel)
 	}, nil
 }
 
-// drawChannels draws Rayleigh channels for every ordered node pair
+// drawChannels draws every unordered node pair once, in input order
 // (reciprocity ties the two directions together: the reverse is the
 // transpose), recording each pair's average path gain for the hearing
 // graph. Pairs whose path SNR falls below the link model's sparse
@@ -243,34 +250,13 @@ func (tb *Testbed) newDeployment(rng *rand.Rand, nodes []NodeSpec, lm LinkModel)
 // deployments built for it (legacy dense deployments never skip, so
 // their seeded channel realizations are untouched).
 func (d *Deployment) drawChannels(rng *rand.Rand, nodes []NodeSpec) {
-	tb := d.tb
-	seen := make(map[[2]mac.NodeID]bool, len(nodes))
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if a.ID == b.ID {
-				continue
-			}
-			if seen[[2]mac.NodeID{a.ID, b.ID}] {
-				continue
-			}
-			seen[[2]mac.NodeID{a.ID, b.ID}] = true
-			seen[[2]mac.NodeID{b.ID, a.ID}] = true
-			dist := d.Position[a.ID].Distance(d.Position[b.ID])
-			gain := channel.PathLoss(rng, dist, tb.Cfg.PathLossExp, channel.FromDB(tb.Cfg.RefGainDB), tb.Cfg.ShadowDB)
-			if d.lm.ExtraLossDB != nil {
-				if loss := d.lm.ExtraLossDB(a.ID, b.ID); loss != 0 {
-					gain *= channel.FromDB(-loss)
-				}
-			}
-			gdb := clampDB(channel.DB(gain))
-			d.gainDB[d.idx[a.ID]*d.stride+d.idx[b.ID]] = float32(gdb)
-			d.gainDB[d.idx[b.ID]*d.stride+d.idx[a.ID]] = float32(gdb)
-			if d.lm.SparseSNRDB != 0 && tb.Cfg.TxPowerDB+gdb < d.lm.SparseSNRDB {
-				continue // below the materialization floor: gain only
-			}
-			fwd := channel.NewRayleigh(rng, b.Antennas, a.Antennas, tb.Cfg.Profile, gain)
-			d.chans[[2]mac.NodeID{a.ID, b.ID}] = fwd
-			d.chans[[2]mac.NodeID{b.ID, a.ID}] = fwd.Reverse(nil)
+	peers := make([]peer, len(nodes))
+	for i, n := range nodes {
+		peers[i] = d.peerOf(n)
+	}
+	for i, a := range peers {
+		for _, b := range peers[i+1:] {
+			d.drawPair(rng, a, b)
 		}
 	}
 }
@@ -352,8 +338,8 @@ func (d *Deployment) Channel(from, to mac.NodeID) []*cmplxmat.Matrix {
 	if cached, ok := d.freq[key]; ok {
 		return cached
 	}
-	ch, ok := d.chans[key]
-	if !ok {
+	ch, reverse := d.realization(from, to)
+	if ch == nil {
 		fromSpec, okF := d.Nodes[from]
 		toSpec, okT := d.Nodes[to]
 		if d.lm.SparseSNRDB != 0 && okF && okT {
@@ -370,13 +356,30 @@ func (d *Deployment) Channel(from, to mac.NodeID) []*cmplxmat.Matrix {
 		}
 		panic(fmt.Sprintf("testbed: no channel %d→%d", from, to))
 	}
-	bins := d.tb.params.DataBins()
-	out := cmplxmat.NewBatch(len(bins), ch.N, ch.M)
-	for k, bin := range bins {
-		ch.FreqResponseInto(out[k], bin, d.tb.params.FFTSize)
+	rows, cols := ch.N, ch.M
+	if reverse {
+		rows, cols = cols, rows
 	}
+	bins := d.tb.params.DataBins()
+	out := cmplxmat.NewBatch(len(bins), rows, cols)
+	ch.FreqResponsesInto(out, bins, d.tb.params.FFTSize, reverse)
 	d.freq[key] = out
 	return out
+}
+
+// realization returns the Rayleigh channel drawn for the pair of from
+// and to, and whether from → to is its reverse direction; nil when the
+// pair has none (unknown node, self pair, or sparse-skipped).
+func (d *Deployment) realization(from, to mac.NodeID) (ch *channel.MIMO, reverse bool) {
+	i, okF := d.idx[from]
+	j, okT := d.idx[to]
+	if !okF || !okT || from == to {
+		return nil, false
+	}
+	if ch := d.chans[i*d.stride+j]; ch != nil {
+		return ch, false
+	}
+	return d.chans[j*d.stride+i], true
 }
 
 // Estimate implements mac.ChannelProvider: reciprocity-derived
